@@ -2541,8 +2541,10 @@ pub fn convert(args: &Args) -> CmdResult {
 mod tests {
     use super::*;
 
-    fn tmpdir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("gemm_ld_cli_{}", std::process::id()));
+    /// A directory of its own for test `tag`: tests run in parallel and each
+    /// one removes its directory when it finishes.
+    fn tmpdir(tag: &str) -> std::path::PathBuf {
+        let d = std::env::temp_dir().join(format!("gemm_ld_cli_{}_{tag}", std::process::id()));
         std::fs::create_dir_all(&d).unwrap();
         d
     }
@@ -2558,7 +2560,7 @@ mod tests {
 
     #[test]
     fn simulate_r2_omega_pipeline() {
-        let d = tmpdir();
+        let d = tmpdir("simulate_r2_omega_pipeline");
         let ms = d.join("toy.ms");
         let mss = ms.to_str().unwrap();
         simulate(&args(&[
@@ -2591,7 +2593,7 @@ mod tests {
 
     #[test]
     fn convert_round_trip() {
-        let d = tmpdir();
+        let d = tmpdir("convert_round_trip");
         let ms = d.join("x.ms");
         let vcf = d.join("x.vcf");
         let txt = d.join("x.txt");
@@ -2626,7 +2628,7 @@ mod tests {
 
     #[test]
     fn tanimoto_on_text_fingerprints() {
-        let d = tmpdir();
+        let d = tmpdir("tanimoto_on_text_fingerprints");
         let path = d.join("fp.txt");
         let fp = ld_data::fingerprints::clustered_fingerprints(12, 256, 3, 0.1, 0.02, 5);
         save_matrix(path.to_str().unwrap(), &fp).unwrap();
@@ -2636,7 +2638,7 @@ mod tests {
 
     #[test]
     fn prune_decay_blocks_pipeline() {
-        let d = tmpdir();
+        let d = tmpdir("prune_decay_blocks_pipeline");
         let ms = d.join("panel.ms");
         let mss = ms.to_str().unwrap();
         simulate(&args(&[
@@ -2677,7 +2679,7 @@ mod tests {
 
     #[test]
     fn assoc_subcommand_runs() {
-        let d = tmpdir();
+        let d = tmpdir("assoc_subcommand_runs");
         let ms = d.join("cohort.ms");
         let mss = ms.to_str().unwrap();
         simulate(&args(&["--samples", "600", "--snps", "80", "-o", mss])).unwrap();
@@ -2690,7 +2692,7 @@ mod tests {
 
     #[test]
     fn r2_timeout_checkpoint_resume_cycle() {
-        let d = tmpdir();
+        let d = tmpdir("r2_timeout_checkpoint_resume_cycle");
         let ms = d.join("intr.ms");
         let mss = ms.to_str().unwrap();
         simulate(&args(&["--samples", "80", "--snps", "60", "-o", mss])).unwrap();
@@ -2723,7 +2725,7 @@ mod tests {
 
     #[test]
     fn r2_checkpointed_pair_table_matches_streamed() {
-        let d = tmpdir();
+        let d = tmpdir("r2_checkpointed_pair_table_matches_streamed");
         let ms = d.join("cmp.ms");
         let mss = ms.to_str().unwrap();
         simulate(&args(&["--samples", "100", "--snps", "50", "-o", mss])).unwrap();
@@ -2767,7 +2769,7 @@ mod tests {
     #[test]
     fn r2_trace_out_and_report_are_emitted() {
         let _g = recorder_lock();
-        let d = tmpdir();
+        let d = tmpdir("r2_trace_out_and_report_are_emitted");
         let input = d.join("trace_in.txt");
         simulate(&args(&[
             "--samples",
@@ -2818,7 +2820,7 @@ mod tests {
     #[test]
     fn r2_trace_out_unwritable_is_resource_error() {
         let _g = recorder_lock();
-        let d = tmpdir();
+        let d = tmpdir("r2_trace_out_unwritable_is_resource_error");
         let input = d.join("trace_err_in.txt");
         simulate(&args(&[
             "--samples",
@@ -2845,7 +2847,7 @@ mod tests {
 
     #[test]
     fn resume_error_taxonomy() {
-        let d = tmpdir();
+        let d = tmpdir("resume_error_taxonomy");
         let ms = d.join("tax.ms");
         let mss = ms.to_str().unwrap();
         simulate(&args(&["--samples", "40", "--snps", "30", "-o", mss])).unwrap();
@@ -2867,7 +2869,7 @@ mod tests {
 
     #[test]
     fn unwritable_destinations_fail_before_compute() {
-        let d = tmpdir();
+        let d = tmpdir("unwritable_destinations_fail_before_compute");
         let ms = d.join("probe.ms");
         let mss = ms.to_str().unwrap();
         simulate(&args(&["--samples", "40", "--snps", "30", "-o", mss])).unwrap();
@@ -2884,7 +2886,7 @@ mod tests {
 
     #[test]
     fn shard_merge_matches_single_run_bit_for_bit() {
-        let d = tmpdir();
+        let d = tmpdir("shard_merge_matches_single_run_bit_for_bit");
         let ms = d.join("shards.ms");
         let mss = ms.to_str().unwrap();
         simulate(&args(&["--samples", "90", "--snps", "70", "-o", mss])).unwrap();
@@ -2933,7 +2935,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_gaps_overlaps_and_foreign_inputs() {
-        let d = tmpdir();
+        let d = tmpdir("merge_rejects_gaps_overlaps_and_foreign_inputs");
         let ms = d.join("gaps.ms");
         let mss = ms.to_str().unwrap();
         simulate(&args(&["--samples", "60", "--snps", "50", "-o", mss])).unwrap();
@@ -3034,7 +3036,7 @@ mod tests {
         for bad in ["4", "0/4", "5/4", "a/b", "1/0", "/"] {
             assert!(parse_shard(&args(&["--shard", bad])).is_err(), "{bad}");
         }
-        let d = tmpdir();
+        let d = tmpdir("shard_flag_validation");
         let ms = d.join("sv.ms");
         let mss = ms.to_str().unwrap();
         simulate(&args(&["--samples", "30", "--snps", "20", "-o", mss])).unwrap();
@@ -3076,7 +3078,7 @@ mod tests {
 
     #[test]
     fn manifest_is_schema_shaped() {
-        let d = tmpdir();
+        let d = tmpdir("manifest_is_schema_shaped");
         let path = d.join("manifest.json");
         let shards = vec![
             ShardSlot {
@@ -3135,7 +3137,7 @@ mod tests {
         assert!(load_matrix("/nonexistent/x.ms").is_err());
         assert!(load_matrix("/nonexistent/x.weird").is_err());
         assert!(parse_kernel(&args(&["--kernel", "bogus"])).is_err());
-        let d = tmpdir();
+        let d = tmpdir("errors_are_reported");
         let p = d.join("small.txt");
         std::fs::write(&p, "0101\n1010\n").unwrap();
         assert!(omega(&args(&["-i", p.to_str().unwrap(), "--window", "50"])).is_err());

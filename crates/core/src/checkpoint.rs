@@ -50,43 +50,11 @@ pub const MAGIC: &[u8; 8] = b"LDCKPT01";
 /// Current checkpoint format version.
 pub const FORMAT_VERSION: u32 = 1;
 
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected) — in-repo, table-driven; the workspace
-// builds offline with no external deps.
-// ---------------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC32 (IEEE) of `bytes` — the checksum guarding both checkpoint
-/// sections. Public so `ld-io` and the corruption-corpus tests can
-/// recompute it.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+/// CRC32 (IEEE) — the checksum guarding both checkpoint sections, every
+/// tile chunk and the tile manifest. The one implementation lives in
+/// `ld-kernels`; re-exported here so `ld-io` and the corruption-corpus
+/// tests can recompute it.
+pub use ld_kernels::crc32;
 
 /// FNV-1a (64-bit) content fingerprint of a genotype matrix: dimensions
 /// followed by every SNP's packed words. Cheap (one linear pass over data

@@ -290,10 +290,23 @@ pub mod fault {
 
     static KERNEL_PANIC: AtomicBool = AtomicBool::new(false);
 
-    /// Arms (or disarms) a deliberate panic in the fused kernel workers —
-    /// lets tests induce a mid-scan worker panic without a special build.
-    pub fn arm_kernel_panic(on: bool) {
-        KERNEL_PANIC.store(on, Ordering::SeqCst);
+    /// Arms a deliberate panic in the fused kernel workers — lets tests
+    /// induce a mid-scan worker panic without a special build. The hook is
+    /// process-global and stays armed until the returned guard drops
+    /// (also when the test unwinds), so it cannot leak into later tests.
+    #[must_use = "the kernel panic is disarmed when the guard drops"]
+    pub fn arm_kernel_panic() -> KernelPanicGuard {
+        KERNEL_PANIC.store(true, Ordering::SeqCst);
+        KernelPanicGuard(())
+    }
+
+    /// Keeps the injected kernel panic armed; disarms it on drop.
+    pub struct KernelPanicGuard(());
+
+    impl Drop for KernelPanicGuard {
+        fn drop(&mut self) {
+            KERNEL_PANIC.store(false, Ordering::SeqCst);
+        }
     }
 
     /// Checked by the fused workers; panics when armed.

@@ -265,9 +265,12 @@ pub fn decode_chunk(
         }
     }
     let n_words = snps * meta.words_per_snp;
+    let payload = &bytes[CHUNK_HEADER_BYTES..CHUNK_HEADER_BYTES + n_words * 8];
     let mut words = AlignedWords::zeroed(n_words);
-    for (t, w) in words.iter_mut().enumerate() {
-        *w = read_u64(bytes, CHUNK_HEADER_BYTES + t * 8);
+    for (w, b) in words.iter_mut().zip(payload.chunks_exact(8)) {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(b);
+        *w = u64::from_le_bytes(le);
     }
     Ok(words)
 }

@@ -15,8 +15,10 @@
 //!    and an impossible budget must come back as `BudgetExceeded`.
 //!
 //! This file is its own integration-test binary so the `#[global_allocator]`
-//! hook sees only this test's traffic. Tests that arm global fault state
-//! serialize through one mutex.
+//! hook sees only this test's traffic. The fault hooks are process-global,
+//! so every test that runs the engine holds [`lock_faults`] for its whole
+//! body, and every hook is armed through an RAII guard that disarms it on
+//! drop — also when the test panics.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -80,7 +82,9 @@ unsafe impl GlobalAlloc for InjectingAlloc {
 #[global_allocator]
 static ALLOC: InjectingAlloc = InjectingAlloc;
 
-/// Serializes tests that arm process-global fault state.
+/// Serializes every test that runs the engine: an armed hook fires on any
+/// thread, so an unserialized engine run would trip over a neighbour's
+/// fault.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock_faults() -> std::sync::MutexGuard<'static, ()> {
@@ -89,13 +93,20 @@ fn lock_faults() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn arm_alloc_failure(nth: usize) {
-    FALLIBLE_SEEN.store(0, Ordering::Relaxed);
-    FAIL_AT.store(nth, Ordering::Relaxed);
+/// Keeps an injected allocation failure armed; disarms it on drop.
+#[must_use = "the allocation failure is disarmed when the guard drops"]
+struct AllocFailure(());
+
+impl Drop for AllocFailure {
+    fn drop(&mut self) {
+        FAIL_AT.store(0, Ordering::Relaxed);
+    }
 }
 
-fn disarm_alloc_failure() {
-    FAIL_AT.store(0, Ordering::Relaxed);
+fn arm_alloc_failure(nth: usize) -> AllocFailure {
+    FALLIBLE_SEEN.store(0, Ordering::Relaxed);
+    FAIL_AT.store(nth, Ordering::Relaxed);
+    AllocFailure(())
 }
 
 fn random_matrix(n_samples: usize, n_snps: usize, seed: u64) -> BitMatrix {
@@ -131,9 +142,9 @@ fn every_fallible_allocation_site_fails_cleanly() {
     let mut failures = 0usize;
     let mut completed = false;
     for nth in 1..=64 {
-        arm_alloc_failure(nth);
+        let armed = arm_alloc_failure(nth);
         let result = engine.try_stat_matrix(&g, LdStats::RSquared);
-        disarm_alloc_failure();
+        drop(armed);
         match result {
             Err(LdError::AllocationFailed { bytes, .. }) => {
                 assert!(bytes > 0, "failure should report the requested size");
@@ -165,9 +176,9 @@ fn counts_matrix_allocation_failure_is_typed() {
     let _guard = lock_faults();
     let g = random_matrix(32, 24, 0xfa02);
     let engine = LdEngine::new().threads(1);
-    arm_alloc_failure(1);
+    let armed = arm_alloc_failure(1);
     let result = engine.try_counts_matrix(&g);
-    disarm_alloc_failure();
+    drop(armed);
     assert!(
         matches!(result, Err(LdError::AllocationFailed { .. })),
         "counts buffer must fail as AllocationFailed"
@@ -184,9 +195,9 @@ fn injected_kernel_panic_surfaces_as_worker_error() {
     let g = random_matrix(64, 80, 0xfa03);
     let engine = LdEngine::new().threads(4).slab_rows(4);
 
-    fault::arm_kernel_panic(true);
+    let armed = fault::arm_kernel_panic();
     let result = engine.try_stat_matrix(&g, LdStats::RSquared);
-    fault::arm_kernel_panic(false);
+    drop(armed);
 
     match result {
         Err(LdError::Worker(p)) => {
@@ -214,9 +225,9 @@ fn injected_panic_in_streaming_path_is_contained() {
     let g = random_matrix(48, 40, 0xfa04);
     let engine = LdEngine::new().threads(3).slab_rows(4);
 
-    fault::arm_kernel_panic(true);
+    let armed = fault::arm_kernel_panic();
     let result = engine.try_stat_rows(&g, LdStats::RSquared, |_slab| {});
-    fault::arm_kernel_panic(false);
+    drop(armed);
 
     assert!(
         matches!(result, Err(LdError::Worker(_))),
@@ -230,6 +241,7 @@ fn injected_panic_in_streaming_path_is_contained() {
 
 #[test]
 fn budget_constrained_run_matches_twopass_oracle_bitexact() {
+    let _guard = lock_faults();
     let n = 300usize;
     let threads = 2usize;
     let g = random_matrix(128, n, 0xfa05);
@@ -277,6 +289,7 @@ fn budget_constrained_run_matches_twopass_oracle_bitexact() {
 
 #[test]
 fn tile_iteration_verifies_budget_instead_of_shrinking() {
+    let _guard = lock_faults();
     let g = random_matrix(64, 120, 0xfa06);
     let engine = LdEngine::new()
         .threads(1)
@@ -301,6 +314,7 @@ fn tile_iteration_verifies_budget_instead_of_shrinking() {
 
 #[test]
 fn zero_samples_is_empty_input() {
+    let _guard = lock_faults();
     let g = BitMatrix::zeros(0, 5);
     let err = LdEngine::new()
         .try_stat_matrix(&g, LdStats::RSquared)
@@ -311,6 +325,7 @@ fn zero_samples_is_empty_input() {
 
 #[test]
 fn absurd_snp_count_is_size_overflow_not_oom() {
+    let _guard = lock_faults();
     // 2^40 SNPs of zero samples occupy no memory, but the packed triangle
     // would need ~2^79 entries: must be a typed overflow, not an abort.
     let g = BitMatrix::zeros(0, 1usize << 40);
@@ -322,6 +337,7 @@ fn absurd_snp_count_is_size_overflow_not_oom() {
 
 #[test]
 fn cross_matrix_rejects_mismatched_sample_sets() {
+    let _guard = lock_faults();
     let a = random_matrix(32, 10, 0xfa07);
     let b = random_matrix(48, 10, 0xfa08);
     let err = LdEngine::new()
@@ -337,6 +353,7 @@ fn cross_matrix_rejects_mismatched_sample_sets() {
 
 #[test]
 fn zero_tile_is_invalid_config() {
+    let _guard = lock_faults();
     let g = random_matrix(16, 8, 0xfa09);
     let err = LdEngine::new()
         .try_for_each_tile(&g, LdStats::RSquared, 0, |_t| {})
@@ -346,6 +363,7 @@ fn zero_tile_is_invalid_config() {
 
 #[test]
 fn empty_matrix_succeeds_under_any_budget() {
+    let _guard = lock_faults();
     let g = BitMatrix::zeros(4, 0);
     let engine = LdEngine::new().memory_budget(MemoryBudget::bytes(1));
     let m = engine

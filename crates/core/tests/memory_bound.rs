@@ -7,9 +7,11 @@
 //!
 //! This file is its own integration-test binary so the allocator hooks see
 //! only this test's traffic (cargo builds each `tests/*.rs` separately).
+//! Within the binary the tests run one at a time (see [`exclusive`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 struct CountingAlloc;
 
@@ -56,6 +58,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Serializes the tests of this binary. `LIVE` and `PEAK` count every
+/// thread's allocations, so a peak taken while a neighbouring test
+/// allocates would bill its bytes to the code under test. Each test holds
+/// the guard for its whole body, warm-up included.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Runs `f` and returns its peak heap growth in bytes over the level at
 /// entry (allocations made before and freed after `f` don't count against
 /// it; thread-stack memory is not heap and is excluded by construction).
@@ -72,6 +83,8 @@ fn fused_peak_memory_is_slab_bounded() {
     use ld_bitmat::BitMatrix;
     use ld_core::{LdEngine, LdStats, NanPolicy};
     use ld_rng::SmallRng;
+
+    let _exclusive = exclusive();
 
     let (n_samples, n) = (256usize, 600usize);
     let (threads, slab) = (2usize, 8usize);
@@ -134,6 +147,8 @@ fn streaming_rows_never_materialize_the_triangle() {
     use ld_bitmat::BitMatrix;
     use ld_core::{LdEngine, LdStats, NanPolicy};
 
+    let _exclusive = exclusive();
+
     let (n_samples, n) = (128usize, 600usize);
     let (threads, slab) = (2usize, 8usize);
     let mut g = BitMatrix::zeros(n_samples, n);
@@ -185,6 +200,8 @@ fn streaming_rows_never_materialize_the_triangle() {
 fn outofcore_rows_peak_is_slab_panel_bounded() {
     use ld_bitmat::{words_for, BitMatrix};
     use ld_core::{LdEngine, LdStats, MemoryTileStore, NanPolicy, RunControl};
+
+    let _exclusive = exclusive();
 
     let n_samples = 16_384usize; // multiple of 64: no tail-word padding
     let (slab, chunk) = (8usize, 16usize);

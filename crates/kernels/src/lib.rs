@@ -47,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+mod crc32;
 pub mod gemm;
 pub mod micro;
 pub mod pack;
@@ -55,6 +56,7 @@ pub mod profile;
 pub mod reference;
 pub mod syrk;
 
+pub use crc32::crc32;
 pub use gemm::{gemm_counts, gemm_counts_buf, gemm_counts_mt};
 pub use micro::{Kernel, KernelKind, UnsupportedKernel};
 pub use params::{BlockSizes, InvalidBlockSizes};

@@ -98,40 +98,9 @@ impl fmt::Display for ProfileError {
 }
 impl std::error::Error for ProfileError {}
 
-// ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — the same checksum
-// gzip/zip use; table built at compile time, no dependencies.
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+/// CRC-32 (IEEE) guarding the profile payload — the workspace's one
+/// CRC, re-exported here for callers that name it by this path.
+pub use crate::crc32;
 
 // ---------------------------------------------------------------------
 // Minimal JSON value + parser. The workspace builds with no external

@@ -1066,6 +1066,17 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
+/// Serializes the unit tests that record into, reset or read back the
+/// process-global counters, histograms and flight recorder: the test
+/// runner runs them on parallel threads, and one test's `reset()` would
+/// wipe another's data mid-assertion.
+#[cfg(test)]
+pub(crate) fn lock_global_state() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1089,6 +1100,7 @@ mod tests {
 
     #[test]
     fn report_json_is_schema_shaped() {
+        let _g = crate::lock_global_state();
         let r = MetricsReport::capture()
             .with_wall_ns(123)
             .with_threads(4)
@@ -1143,6 +1155,7 @@ mod tests {
     #[cfg(feature = "metrics")]
     #[test]
     fn counters_accumulate_and_reset() {
+        let _g = crate::lock_global_state();
         reset();
         add(Counter::KernelTiles, 3);
         add(Counter::KernelTiles, 4);
@@ -1218,6 +1231,7 @@ mod tests {
     #[cfg(feature = "metrics")]
     #[test]
     fn latency_histogram_records_and_resets() {
+        let _g = crate::lock_global_state();
         reset();
         record_request_latency(1_500); // bucket 10
         record_request_latency(1_500_000); // bucket 20

@@ -317,6 +317,7 @@ mod tests {
 
     #[test]
     fn type_lines_appear_once_per_metric() {
+        let _g = crate::lock_global_state();
         let text = render_global(&[
             PromGauge::new("gemm_ld_queue_depth", "Jobs waiting", 3.0),
             PromGauge {

@@ -572,12 +572,9 @@ mod tests {
     use super::*;
     use crate::Counter;
 
-    // Recorder state is process-global; serialize the tests that touch it.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    // Recorder state is process-global, and these tests also reset the
+    // counters the crate's other unit tests assert on.
+    use crate::lock_global_state as lock;
 
     #[test]
     fn inactive_recorder_is_inert() {

@@ -295,6 +295,7 @@ mod tests {
     #[cfg(feature = "metrics")]
     #[test]
     fn outcomes_are_segregated() {
+        let _g = crate::lock_global_state();
         crate::reset();
         record_served(ServeOp::Pair, ServeOutcome::Ok, 100, 400, 500);
         record_served(ServeOp::Pair, ServeOutcome::Shed, 0, 0, 9_000_000);

@@ -116,6 +116,11 @@ run cargo test -q --offline -p ld-trace -p ld-kernels -p ld-parallel -p ld-io -p
 echo "==> feature matrix: compute stack with metrics compiled in"
 run cargo test -q --offline -p ld-trace -p ld-kernels -p ld-parallel -p ld-io -p ld-core \
     --features "ld-trace/metrics ld-kernels/metrics ld-parallel/metrics ld-io/metrics ld-core/metrics"
+# Isolation guard: the suites that share process-global hooks (fault
+# injection, allocation counting) and temp directories must stay green
+# under a wide parallel runner, not only at the default thread count.
+echo "==> isolation: compute, I/O and CLI suites at 8 test threads"
+run cargo test -q --offline -p ld-kernels -p ld-core -p ld-io -p ld-cli -- --test-threads=8
 
 # Zero-overhead guard: the instrumentation must never change results.
 # Build the CLI both ways, run the same simulated dataset through each at
